@@ -279,6 +279,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.profile import MAPPER_CHOICES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reliability-aware synthesis for flow-based "
@@ -356,11 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", type=int, default=1, help="policy index (default 1)"
     )
     p_prof.add_argument(
-        "--mapper", default="auto",
-        choices=["auto", "greedy", "ilp", "windowed_ilp", "parallel",
-                 "anytime"],
-        help="mapping engine (default: automatic selection; 'parallel' "
-        "is the windowed mapper with process-pool refinement; 'anytime' "
+        "--mapper", default="auto", choices=MAPPER_CHOICES,
+        help="mapping engine (default: automatic selection; 'anytime' "
         "races LNS against the exact ILP, see DESIGN.md §13)",
     )
     p_prof.add_argument(
@@ -430,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", type=int, default=1, help="policy index (default 1)"
     )
     p_life.add_argument(
-        "--mapper", default="auto",
-        choices=["auto", "greedy", "ilp", "windowed_ilp", "parallel",
-                 "anytime"],
+        "--mapper", default="auto", choices=MAPPER_CHOICES,
         help="mapping engine used for every (re)synthesis",
     )
     p_life.add_argument(

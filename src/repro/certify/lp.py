@@ -110,7 +110,7 @@ def certify_lp(
     bounds: Sequence[Tuple[float, float]],
     eps: Fraction = CERT_EPS,
 ) -> Certificate:
-    """Verify an :class:`~repro.ilp.simplex.LpResult` against the data
+    """Verify an :class:`~repro.ilp.compiled.LpResult` against the data
     that produced it.
 
     OPTIMAL verdicts get a primal-feasibility replay plus (when the

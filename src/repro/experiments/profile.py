@@ -18,7 +18,7 @@ enabled and emits a JSON + text report of the hot-path counters:
   simplex.  The full synthesis usually runs on HiGHS, so these are
   exercised by a **solver probe**: a small mapping sub-model (the
   case's first two tasks on a coarse anchor grid) solved exactly with
-  ``backend="branch_bound", lp_engine="simplex"``.
+  ``backend="branch_bound"``.
 
 The report doubles as the CI benchmark-smoke artifact: a run that
 crashes, loses counters or silently stops exploring nodes fails there
@@ -37,9 +37,7 @@ from repro.core.mappers import BaseMapper, GreedyMapper, ILPMapper, WindowedILPM
 from repro.errors import ReproError
 
 #: Mapper names accepted by the CLI; None = automatic selection.
-MAPPER_CHOICES = (
-    "auto", "greedy", "ilp", "windowed_ilp", "parallel", "anytime"
-)
+MAPPER_CHOICES = ("auto", "greedy", "ilp", "windowed_ilp", "anytime")
 
 #: Budget for the ``--race`` probe when the profile run has none.
 DEFAULT_RACE_BUDGET = 1.0
@@ -54,9 +52,6 @@ def _make_mapper(name: str) -> Optional[BaseMapper]:
         return ILPMapper()
     if name == "windowed_ilp":
         return WindowedILPMapper()
-    if name == "parallel":
-        # The windowed mapper with process-pool refinement solving.
-        return WindowedILPMapper(parallel=True)
     if name == "anytime":
         # The race tier (DESIGN.md §13); pair with --time-budget, or
         # it degenerates to the exact lane plus a bounded LNS warm-up.
@@ -86,7 +81,7 @@ def _solver_probe(case) -> Dict[str, float]:
     built = MappingModelBuilder(spec).build()
     start = time.perf_counter()
     solution = built.model.solve(
-        backend="branch_bound", lp_engine="simplex", lp_max_iterations=100_000
+        backend="branch_bound", lp_max_iterations=100_000
     )
     probe = {
         "variables": float(built.model.num_vars),

@@ -2,11 +2,8 @@
 
 The branch & bound search (:mod:`repro.ilp.branch_bound`) solves one LP
 relaxation per tree node, and every node differs from its parent by a
-single variable-bound tightening.  The original dense two-phase solver
-(:mod:`repro.ilp.simplex`) re-derives the full standard-form conversion
-— bound shifts, mirrored columns, split free variables, explicit
-upper-bound rows — and re-runs phase 1 from a cold start at every node.
-This module removes both costs:
+single variable-bound tightening.  This module is the only LP engine
+behind that search, and it is shaped around that access pattern:
 
 * :class:`CompiledModel` performs the conversion **once per search**.
   Variables keep their native bounds (no mirror/split columns, no bound
@@ -39,9 +36,11 @@ The basis factorization behind the pivots is pluggable (``engine``):
   match the sparse engine on every instance
   (``tests/ilp/test_engine_equivalence.py``).
 
-Statuses and optimal objectives are identical to the cold-start path;
+Warm and cold starts reach identical statuses and optimal objectives;
 the equivalence is asserted both ways in ``tests/ilp/test_warm_start.py``
-and benchmarked in ``benchmarks/test_warm_start_speedup.py``.
+and benchmarked in ``benchmarks/test_warm_start_speedup.py``.  Every
+result can carry row duals or a Farkas ray (``want_duals``), which the
+exact-arithmetic certificates of :mod:`repro.certify.lp` verify.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ilp.simplex import LpResult
 from repro.ilp.solution import SolveStatus
 from repro.ilp.tolerances import (
     DUAL_FLIP_EPS,
@@ -85,6 +83,41 @@ _MONITOR_AT = _REFACTOR_EVERY // 2
 #: consecutive degenerate basis changes (anti-cycling guarantee); a
 #: nondegenerate step switches back.
 _BLAND_AFTER = 100
+
+
+@dataclass
+class LpResult:
+    """Raw result of an LP solve in the original variable space.
+
+    ``iterations`` counts every pivot (primal and dual);
+    ``dual_pivots`` is the dual-simplex share of the pivots, ``basis``
+    the optimal basis snapshot for child-node reuse, and
+    ``warm_started`` / ``cold_fallback`` record whether a supplied
+    parent basis was actually used or had to be abandoned.
+
+    The certificate fields are filled only when the solve was asked for
+    them (``want_duals=True``): ``duals`` holds one multiplier per
+    original row (``a_ub`` rows first, then ``a_eq`` rows; <= 0 on the
+    inequality rows) at an OPTIMAL verdict, ``farkas`` the same-shaped
+    infeasibility ray at an INFEASIBLE verdict, and ``farkas_bounds``
+    extra ray components on implicit ``x_j <= ub_j`` rows, as
+    ``(variable index, multiplier)`` pairs; :class:`CompiledModel`
+    leaves it empty, but :func:`repro.certify.lp.certify_lp` accepts
+    it.  They are consumed by :mod:`repro.certify`.
+    """
+
+    status: SolveStatus
+    x: Optional[np.ndarray] = None
+    objective: float = math.nan
+    iterations: int = 0
+    dual_pivots: int = 0
+    basis: Optional[object] = None
+    warm_started: bool = False
+    cold_fallback: bool = False
+    duals: Optional[np.ndarray] = None
+    farkas: Optional[np.ndarray] = None
+    farkas_bounds: Optional[List[Tuple[int, float]]] = None
+
 
 #: Nonbasic/basic markers in :attr:`Basis.status`.
 BASIC = 0
@@ -470,7 +503,7 @@ class CompiledModel:
         With ``basis`` (a parent node's optimal basis) the solve warm
         starts through the dual simplex; without one — or when the warm
         path fails — it cold starts through phase 1.  The returned
-        :class:`~repro.ilp.simplex.LpResult` carries the optimal
+        :class:`LpResult` carries the optimal
         :class:`Basis` for reuse, the dual pivot count, and whether the
         warm path was actually used (``warm_started`` /
         ``cold_fallback``).  With ``want_duals`` it also carries the
@@ -505,8 +538,7 @@ class CompiledModel:
                 res.cold_fallback = True
         else:
             res = self._cold_solve(lb, ub, max_iterations, want_duals)
-        # Same per-solve flush as the dense engine, so `simplex.*`
-        # telemetry keeps covering whichever LP core actually ran.
+        # One flush per solve, whichever basis factor ran.
         if TELEMETRY.enabled:
             TELEMETRY.count("simplex.solves")
             TELEMETRY.count("simplex.iterations", res.iterations)

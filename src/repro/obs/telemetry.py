@@ -13,19 +13,18 @@ integer increment even when telemetry is enabled.
 
 Counter names are dotted paths, one prefix per subsystem:
 
-* ``simplex.*`` — LP iterations, pivot wall time (``repro.ilp.simplex``)
+* ``simplex.*`` — LP iterations, pivot wall time (``repro.ilp.compiled``)
 * ``bb.*`` — branch & bound nodes explored / pruned / fallen-back,
   per-node LP wall time, and the warm-start counters
   (``basis_reuse_hits``, ``warm_starts``, ``warm_fallbacks``,
   ``dual_pivots``, ``simplex_iterations``) of the compiled-model
   engine (``repro.ilp.branch_bound``)
 * ``mapper.*`` — window solves, greedy fallbacks, refinement
-  accept/reject tallies, process-pool refinement activity
-  (``parallel_windows``, ``parallel_stale``) (``repro.core.mappers``)
+  accept/reject tallies (``repro.core.mappers``)
 * ``routing.*`` — Dijkstra heap pops, rip-up & re-route events
   (``repro.routing``)
 * ``resilience.*`` — one counter per degradation-ladder rung engaged
-  (``resilience.window_shrink``, ``resilience.pool_serial``, … — see
+  (``resilience.window_shrink``, ``resilience.worker_retry``, … — see
   DESIGN.md §9); a clean run records none (``repro.resilience``)
 * ``certify.*`` — certification-layer activity (DESIGN.md §10): LP/MILP
   certificates checked and failed (``certify.milp``,

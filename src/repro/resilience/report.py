@@ -15,13 +15,8 @@ rung                      meaning
                           split in half and each half solved exactly
 ``window_greedy``         the shrunken halves failed too; that window
                           alone fell back to the greedy balancer
-``pool_serial``           the refinement process pool broke (worker
-                          crash, per-future timeout); the windows whose
-                          futures failed were re-solved serially, the
-                          completed ones were kept
 ``worker_retry``          a supervised worker was lost (crash, missed
-                          heartbeat, RSS kill) or the broken process
-                          pool was recreated; the work was retried
+                          heartbeat, RSS kill); the work was retried
                           after a seeded exponential backoff
 ``worker_serial``         supervised retries were exhausted; the solve
                           re-ran in-process (unsupervised) instead
@@ -148,7 +143,6 @@ class DegradationLadder:
 
     WINDOW_SHRINK = "window_shrink"
     WINDOW_GREEDY = "window_greedy"
-    POOL_SERIAL = "pool_serial"
     WORKER_RETRY = "worker_retry"
     WORKER_SERIAL = "worker_serial"
     CHECKPOINT_RESUME = "checkpoint_resume"
@@ -165,7 +159,6 @@ class DegradationLadder:
     RUNGS = (
         WINDOW_SHRINK,
         WINDOW_GREEDY,
-        POOL_SERIAL,
         WORKER_RETRY,
         WORKER_SERIAL,
         CHECKPOINT_RESUME,

@@ -1,7 +1,8 @@
 """Exact-arithmetic LP certificates across every LP engine.
 
-Each engine (dense cold-start simplex, compiled cold, compiled
-warm-start, scipy/HiGHS linprog) solves the same seeded random LPs; the
+Each engine (the compiled simplex on its explicit-inverse ``dense``
+factor, compiled cold, scaled and warm-start on the sparse factor, and
+scipy/HiGHS linprog) solves the same seeded random LPs; the
 :mod:`repro.certify` layer must be able to certify every OPTIMAL answer
 through the duality-gap proof, and every INFEASIBLE answer that carries
 a Farkas ray.
@@ -13,8 +14,7 @@ import numpy as np
 import pytest
 
 from repro.certify.lp import certify_lp
-from repro.ilp.compiled import CompiledModel
-from repro.ilp.simplex import LpResult, solve_lp
+from repro.ilp.compiled import CompiledModel, LpResult
 from repro.ilp.solution import SolveStatus
 
 
@@ -61,7 +61,9 @@ def _scipy_solve(c, a_ub, b_ub, a_eq, b_eq, bounds) -> LpResult:
 
 def _engines():
     def dense(c, a_ub, b_ub, a_eq, b_eq, bounds):
-        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, want_duals=True)
+        return CompiledModel(c, a_ub, b_ub, a_eq, b_eq, engine="dense").solve(
+            bounds, want_duals=True
+        )
 
     def compiled_cold(c, a_ub, b_ub, a_eq, b_eq, bounds):
         return CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(
@@ -195,7 +197,9 @@ def test_wrong_objective_is_rejected() -> None:
     a_eq = np.zeros((0, 2))
     b_eq = np.zeros(0)
     bounds = [(0.0, 5.0)] * 2
-    result = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, want_duals=True)
+    result = CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(
+        bounds, want_duals=True
+    )
     assert result.status is SolveStatus.OPTIMAL
     result.objective = result.objective - 1.0
     cert = certify_lp(result, c, a_ub, b_ub, a_eq, b_eq, bounds)
@@ -210,7 +214,9 @@ def test_tampered_solution_vector_is_rejected() -> None:
     a_eq = np.zeros((0, 2))
     b_eq = np.zeros(0)
     bounds = [(0.0, 1.0)] * 2
-    result = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, want_duals=True)
+    result = CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(
+        bounds, want_duals=True
+    )
     result.x = result.x + 0.5  # pushes the packed row over its rhs
     cert = certify_lp(result, c, a_ub, b_ub, a_eq, b_eq, bounds)
     assert not cert.ok

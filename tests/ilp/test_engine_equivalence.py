@@ -119,10 +119,10 @@ class TestMappingWindowEquivalence:
         spec = MappingSpec(grid=case.grid, tasks=tasks[:2], anchor_stride=3)
         built = MappingModelBuilder(spec).build()
         sparse = built.model.solve(
-            backend="branch_bound", lp_engine="simplex", engine="sparse"
+            backend="branch_bound", engine="sparse"
         )
         dense = built.model.solve(
-            backend="branch_bound", lp_engine="simplex", engine="dense"
+            backend="branch_bound", engine="dense"
         )
         assert sparse.status is dense.status is SolveStatus.OPTIMAL
         assert sparse.objective == pytest.approx(dense.objective, abs=1e-6)

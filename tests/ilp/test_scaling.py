@@ -87,9 +87,9 @@ def test_branch_bound_lp_scaling_agrees() -> None:
         model.maximize(quicksum(v * x for v, x in zip(values, xs)))
         return model
 
-    base = solve_branch_bound(build(), lp_engine="compiled")
+    base = solve_branch_bound(build())
     scaled = solve_branch_bound(
-        build(), lp_engine="compiled", lp_scaling=True
+        build(), lp_scaling=True
     )
     assert base.status is scaled.status is SolveStatus.OPTIMAL
     assert scaled.objective == pytest.approx(base.objective)

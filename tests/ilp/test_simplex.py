@@ -1,11 +1,15 @@
-"""Unit tests for the from-scratch simplex LP solver."""
+"""Unit tests for the compiled simplex LP solver.
+
+Every LP is solved on both basis factors (sparse LU and the dense
+explicit-inverse oracle); the two must reach the same verdict.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.ilp.simplex import solve_lp
+from repro.ilp.compiled import CompiledModel
 from repro.ilp.solution import SolveStatus
 
 INF = math.inf
@@ -19,7 +23,14 @@ def lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), bounds=None):
     b_ub = np.array(b_ub, dtype=float)
     b_eq = np.array(b_eq, dtype=float)
     bounds = bounds or [(0.0, INF)] * n
-    return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    sparse, dense = (
+        CompiledModel(c, a_ub, b_ub, a_eq, b_eq, engine=engine).solve(bounds)
+        for engine in ("sparse", "dense")
+    )
+    assert sparse.status is dense.status
+    if sparse.status is SolveStatus.OPTIMAL:
+        assert sparse.objective == pytest.approx(dense.objective, abs=1e-9)
+    return sparse
 
 
 class TestBasicLPs:

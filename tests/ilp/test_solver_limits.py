@@ -11,6 +11,8 @@ Three bugs shared one root cause — treating "the solver gave up" as
 3. the simplex ratio test accepted a new minimum only when it was more
    than ``_EPS`` smaller, so a strictly smaller ratio inside the
    epsilon band could be skipped, driving a basic variable negative.
+   The compiled simplex takes the exact minimum ratio and breaks ties
+   by smallest basis index only inside the band around it.
 """
 
 import math
@@ -21,7 +23,7 @@ import pytest
 import repro.ilp.branch_bound as bb
 from repro.ilp import Model, SolveStatus, quicksum
 from repro.ilp.branch_bound import solve_branch_bound
-from repro.ilp.simplex import _EPS, LpResult, _simplex_core, solve_lp
+from repro.ilp.compiled import _EPS, CompiledModel, LpResult
 
 
 def knapsack_model():
@@ -36,17 +38,15 @@ def knapsack_model():
 
 class TestLpIterationCap:
     def test_capped_lp_reports_no_solution(self):
-        # A cap of 1 pivot cannot finish even phase 1 of the knapsack
-        # relaxation; the LP must say "unknown", not "infeasible".
-        res = solve_lp(
+        # A cap of 1 pivot cannot finish the LP (two variables must
+        # move); it must say "unknown", not "infeasible".
+        res = CompiledModel(
             np.array([-1.0, -1.0]),
             np.array([[1.0, 1.0]]),
             np.array([2.0]),
             np.zeros((0, 2)),
             np.zeros(0),
-            [(0.0, 1.0), (0.0, 1.0)],
-            max_iterations=1,
-        )
+        ).solve([(0.0, 1.0), (0.0, 1.0)], max_iterations=1)
         assert res.status is SolveStatus.NO_SOLUTION
 
     def test_capped_relaxations_do_not_fake_infeasibility(self):
@@ -70,7 +70,7 @@ class TestUnboundedBelowRoot:
         # one: OPTIMAL-fractional at the root, UNBOUNDED below it.
         calls = {"n": 0}
 
-        def flaky_relaxation(c, a_ub, b_ub, a_eq, b_eq, bounds, *args, **kwargs):
+        def flaky_relaxation(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 return LpResult(
@@ -100,42 +100,42 @@ class TestUnboundedBelowRoot:
         assert solve_branch_bound(m).status is SolveStatus.UNBOUNDED
 
 
+def _ratio_test_lp(b: np.ndarray):
+    """max x s.t. x <= b_i on both basis factors: the entering column
+    prices in immediately and every row competes in the ratio test,
+    slack i basic in row i."""
+    m = len(b)
+    for engine in ("sparse", "dense"):
+        yield CompiledModel(
+            np.array([-1.0]), np.ones((m, 1)), b, np.zeros((0, 1)),
+            np.zeros(0), engine=engine,
+        ).solve([(0.0, math.inf)])
+
+
 class TestRatioTestEpsilonBand:
     def test_chained_near_ties_keep_basis_feasible(self):
-        # Six rows whose ratios ascend by 0.9e-9 — each within _EPS of
-        # its predecessor but the last 4.5e-9 above the true minimum —
-        # while basis indices descend, so a tie-break that *updates* the
-        # best ratio walks all the way up the chain and pivots on the
-        # largest ratio, driving row 0 negative beyond _EPS.  The fix
-        # takes the exact minimum ratio and applies Bland's smallest-
-        # basis-index tie-break only inside the band around it.
+        # Six rows whose ratios descend by 0.9e-9 with the row (and so
+        # the slack's basis index) — each within _EPS of its neighbour
+        # but the first 4.5e-9 above the true minimum — so a tie-break
+        # that walks the chain by smallest basis index pivots on the
+        # largest ratio and drives the last row's slack negative beyond
+        # _EPS.
         m = 6
-        a = np.zeros((m, 1 + m))
-        a[:, 0] = 1.0  # the entering column
-        for i in range(m):
-            a[i, m - i] = 1.0  # anti-diagonal identity: basic columns
-        basis = [m - i for i in range(m)]  # [6, 5, 4, 3, 2, 1]
-        b = np.array([1.0 + i * 0.9e-9 for i in range(m)])
-        c = np.zeros(1 + m)
-        c[0] = -1.0  # column 0 prices in immediately
-        status, _, iterations = _simplex_core(a, b, c, basis, 100)
-        assert status is SolveStatus.OPTIMAL
-        assert iterations >= 1
-        # The invariant the seed code violated: every basic value stays
-        # within _EPS of feasibility after the pivot.
-        assert np.all(b >= -_EPS), f"negative basic values: {b.min()}"
+        b = np.array([1.0 + (m - 1 - i) * 0.9e-9 for i in range(m)])
+        for res in _ratio_test_lp(b):
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.iterations >= 1
+            # Every slack stays within _EPS of feasibility.
+            slack = b - res.x[0]
+            assert np.all(slack >= -_EPS), f"negative slack: {slack.min()}"
 
     def test_strictly_smaller_ratio_always_wins(self):
-        # A ratio well below the incumbent (not a near-tie) must be
-        # taken no matter the basis ordering.
-        a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        basis = [2, 1]  # larger basis index owns the smaller ratio
-        b = np.array([5.0, 1.0])
-        c = np.array([-1.0, 0.0, 0.0])
-        status, objective, _ = _simplex_core(a, b, c, basis, 100)
-        assert status is SolveStatus.OPTIMAL
-        assert objective == pytest.approx(-1.0)
-        assert np.all(b >= -_EPS)
+        # A ratio well below the other (not a near-tie) must be taken
+        # even though the larger basis index owns it.
+        for res in _ratio_test_lp(np.array([5.0, 1.0])):
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.objective == pytest.approx(-1.0)
+            assert res.x[0] == pytest.approx(1.0)
 
 
 class TestBackendsAgreeOnWindowedMapping:
@@ -154,7 +154,7 @@ class TestBackendsAgreeOnWindowedMapping:
         spec = MappingSpec(grid=case.grid, tasks=tasks[:2], anchor_stride=3)
         built = MappingModelBuilder(spec).build()
 
-        mine = built.model.solve(backend="branch_bound", lp_engine="simplex")
+        mine = built.model.solve(backend="branch_bound")
         highs = built.model.solve(backend="scipy")
         assert mine.status is SolveStatus.OPTIMAL
         assert highs.status is SolveStatus.OPTIMAL

@@ -133,12 +133,12 @@ class TestResilienceReport:
         TELEMETRY.enabled = True
         try:
             report = ResilienceReport()
-            report.record("pool", "pool_serial")
+            report.record("mapping", "worker_retry")
             counters = TELEMETRY.snapshot()["counters"]
         finally:
             TELEMETRY.enabled = False
             TELEMETRY.reset()
-        assert counters["resilience.pool_serial"] == 1
+        assert counters["resilience.worker_retry"] == 1
 
 
 class TestDegradationLadder:
@@ -158,7 +158,6 @@ class TestDegradationLadder:
         assert set(DegradationLadder.RUNGS) == {
             "window_shrink",
             "window_greedy",
-            "pool_serial",
             "worker_retry",
             "worker_serial",
             "checkpoint_resume",

@@ -194,3 +194,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["synth"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["profile", "lifetime"])
+    def test_removed_mapper_choice_exits_2(self, command, capsys):
+        # Both subcommands take their choices from one list; a mapper
+        # name not on it is an argument error, not a traceback.
+        with pytest.raises(SystemExit) as info:
+            main([command, "pcr", "--mapper", "parallel"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'parallel'" in err
+        assert "Traceback" not in err
