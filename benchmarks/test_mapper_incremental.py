@@ -12,7 +12,13 @@ benchmark assay):
   every step;
 * the end-to-end windowed mapping still produces byte-identical
   placements and objective to the pre-ledger implementation (frozen in
-  ``data/exponential_windowed_expected.json``).
+  ``data/exponential_windowed_expected.json``), and mixing tree's to
+  the ``LinExpr``-built mapping model's (frozen in
+  ``data/mixing_tree_windowed_expected.json``).
+
+The naive helpers live in ``tests/core/load_reference.py``; run from
+the repository root (``python -m pytest benchmarks/...``) so that
+``tests`` imports.
 """
 
 import json
@@ -26,7 +32,9 @@ from repro.core.mappers import GreedyMapper, LoadLedger, WindowedILPMapper
 from repro.core.mapping_model import MappingSpec
 from repro.core.tasks import build_tasks
 
-EXPECTED = Path(__file__).parent / "data" / "exponential_windowed_expected.json"
+from tests.core import load_reference
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -67,22 +75,22 @@ def run_naive(spec, ordered, placements, probes):
     placements = dict(placements)
     trace = []
     for window, alternatives in probes:
-        discouraged = WindowedILPMapper._max_load_cells(
+        discouraged = load_reference.max_load_cells(
             spec, ordered, placements
         )
         saved = {t.name: placements.pop(t.name) for t in window}
         placements.update(alternatives)
-        new_obj = WindowedILPMapper._total_objective(
+        new_obj = load_reference.total_objective(
             spec, ordered, placements
         )
-        old_obj = WindowedILPMapper._total_objective(
+        old_obj = load_reference.total_objective(
             spec, ordered, {**placements, **saved}
         )
         accepted = not new_obj > old_obj
         if not accepted:
             placements.update(saved)
         trace.append((discouraged, accepted))
-    final_loads = WindowedILPMapper._cell_loads(spec, ordered, placements)
+    final_loads = load_reference.cell_loads(spec, ordered, placements)
     return placements, trace, final_loads
 
 
@@ -149,14 +157,26 @@ class TestIncrementalBookkeeping:
         assert len(probes) >= 30
 
 
+def _assert_frozen(spec, frozen):
+    expected = json.loads((DATA / frozen).read_text())
+    result = WindowedILPMapper().map_tasks(spec)
+    got = {n: str(p) for n, p in sorted(result.placements.items())}
+    assert result.objective == expected["objective"]
+    assert got == expected["placements"]
+    assert [list(p) for p in result.used_overlaps] == expected["overlaps"]
+    # The stats channel rides along without changing the result.
+    assert result.stats["windows_solved"] > 0
+    assert result.stats["whole_problem_fallback"] == 0
+
+
 class TestEndToEndUnchanged:
     def test_exponential_windowed_mapping_is_byte_identical(self, exponential_spec):
-        expected = json.loads(EXPECTED.read_text())
-        result = WindowedILPMapper().map_tasks(exponential_spec)
-        got = {n: str(p) for n, p in sorted(result.placements.items())}
-        assert result.objective == expected["objective"]
-        assert got == expected["placements"]
-        assert [list(p) for p in result.used_overlaps] == expected["overlaps"]
-        # The stats channel rides along without changing the result.
-        assert result.stats["windows_solved"] > 0
-        assert result.stats["whole_problem_fallback"] == 0
+        _assert_frozen(exponential_spec, "exponential_windowed_expected.json")
+
+    def test_mixing_tree_windowed_mapping_is_byte_identical(self):
+        case = get_case("mixing_tree")
+        schedule = schedule_for(case, case.policies(1)[0])
+        spec = MappingSpec(
+            grid=case.grid, tasks=build_tasks(case.graph(), schedule)
+        )
+        _assert_frozen(spec, "mixing_tree_windowed_expected.json")

@@ -398,9 +398,9 @@ def certify_solution(model, solution, eps: Fraction = CERT_EPS) -> Certificate:
     """Replay a MILP :class:`~repro.ilp.solution.Solution` against the
     original :class:`~repro.ilp.model.Model`, exactly.
 
-    Works at the :class:`Constraint` level (never through
-    ``Model.to_arrays``), so a matrix-export bug cannot blind both the
-    solver and this check.  Also audits the reported objective and —
+    Works at the :class:`Constraint` level (the model's row views,
+    never ``Model.to_arrays``), so a matrix-export bug cannot blind
+    both the solver and this check.  Also audits the reported objective and —
     when the backend published one — the claimed best bound / gap.
     """
     from repro.ilp.model import ObjectiveSense

@@ -87,8 +87,7 @@ class MappingResult:
 class LoadLedger:
     """Incremental per-valve pump-load bookkeeping.
 
-    Maintains exactly the map that
-    :meth:`WindowedILPMapper._cell_loads` rebuilds from scratch — the
+    Maintains exactly the map a from-scratch rebuild gives — the
     spec's base load plus every placed task's pump rate on its ring —
     but updated in O(ring) on :meth:`add`/:meth:`remove`.  Cells are
     bucketed by load level, so ``peak()`` costs O(distinct levels) and
@@ -631,75 +630,6 @@ class WindowedILPMapper(BaseMapper):
             optimal=all_optimal and len(ordered) <= self.window_size,
         )
 
-    # -- reference implementations ---------------------------------------
-    #
-    # The naive rebuild-from-scratch helpers below define the semantics
-    # the incremental LoadLedger must reproduce; tests and the benchmark
-    # suite diff the two.  The refinement loops above no longer call
-    # them.
-
-    @staticmethod
-    def _cell_loads(
-        spec: MappingSpec,
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-    ) -> Dict[Point, int]:
-        load: Dict[Point, int] = dict(spec.base_load)
-        for task in ordered:
-            placement = placements.get(task.name)
-            if placement is None or task.pump_rate == 0:
-                continue
-            for cell in placement.pump_cells():
-                load[cell] = load.get(cell, 0) + task.pump_rate
-        return load
-
-    @classmethod
-    def _load_measure(
-        cls,
-        spec: MappingSpec,
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-    ) -> Tuple[int, int]:
-        """(max load, #valves at the max) — lexicographic progress."""
-        load = cls._cell_loads(spec, ordered, placements)
-        if not load:
-            return (0, 0)
-        peak = max(load.values())
-        return (peak, sum(1 for v in load.values() if v == peak))
-
-    @classmethod
-    def _max_load_cells(
-        cls,
-        spec: MappingSpec,
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-    ) -> frozenset:
-        load = cls._cell_loads(spec, ordered, placements)
-        if not load:
-            return frozenset()
-        peak = max(load.values())
-        return frozenset(c for c, v in load.items() if v == peak)
-
-    @staticmethod
-    def _tasks_on_worst_valve(
-        spec: MappingSpec,
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-    ) -> List[MappingTask]:
-        """Tasks whose pump rings cover the most-loaded valve."""
-        load: Dict[Point, int] = dict(spec.base_load)
-        for task in ordered:
-            for cell in placements[task.name].pump_cells():
-                load[cell] = load.get(cell, 0) + task.pump_rate
-        if not load:
-            return []
-        worst_cell = max(sorted(load), key=lambda c: load[c])
-        return [
-            task
-            for task in ordered
-            if worst_cell in placements[task.name].pump_cells()
-        ]
-
     # -- refinement windows -----------------------------------------------
 
     def _refine_windows(
@@ -848,18 +778,6 @@ class WindowedILPMapper(BaseMapper):
             used_overlaps=overlaps,
             optimal=False,  # solved as halves, not jointly
         )
-
-    @staticmethod
-    def _total_objective(
-        spec: MappingSpec,
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-    ) -> int:
-        load: Dict[Point, int] = dict(spec.base_load)
-        for task in ordered:
-            for cell in placements[task.name].pump_cells():
-                load[cell] = load.get(cell, 0) + task.pump_rate
-        return max(load.values(), default=0)
 
 
 class GreedyMapper(BaseMapper):

@@ -16,8 +16,17 @@ Transcription of the paper's model:
 
 The boundary coordinates ``b_le/b_ri/b_up/b_do`` are not extra integer
 variables: with the one-hot selection row they are exact linear
-expressions of the selection variables, which keeps the model smaller
-than the paper's literal formulation without changing its feasible set.
+functions of the selection variables (the candidates' coordinates are
+the coefficients), which keeps the model smaller than the paper's
+literal formulation without changing its feasible set.
+
+The builder writes rows as arrays, not expressions: each task's
+candidates come with a cached table of their boundary coordinates and
+pump cells, and every family of rows is gathered from those tables
+into coordinate triplets and handed to :meth:`Model.add_rows` in one
+call.  The rolling-horizon mapper builds a model per window, dozens per
+run; built through per-term ``LinExpr`` objects, those models took
+about a third of a mixing-tree synthesis.
 
 The builder also supports **committed placements** (constants) and a
 **base load** per valve, which is how the rolling-horizon windowed
@@ -29,22 +38,67 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import SynthesisError
 from repro.geometry import GridSpec, Point
 from repro.architecture.device import DynamicDevice, Placement
 from repro.architecture.device_types import min_device_dimension, types_for_volume
 from repro.architecture.health import ChipHealth
-from repro.ilp import Constraint, LinExpr, Model, Var, quicksum
+from repro.ilp import LinExpr, Model, Sense, Var
 from repro.core.tasks import MappingTask
 
 Pair = Tuple[str, str]
 
-#: Memoized candidate enumerations.  A placement candidate set depends
-#: only on (grid, anchor stride, blocked cells, volume class) — not on
-#: the task identity — and the windowed mapper rebuilds a fresh
+#: Memoized candidate tables.  A placement candidate set depends only
+#: on (grid, anchor stride, blocked cells, volume class) — not on the
+#: task identity — and the windowed mapper rebuilds a fresh
 #: ``MappingSpec`` for every window/refinement probe, so a module-level
-#: cache turns the repeated grid sweeps into one enumeration per shape.
-_CANDIDATE_CACHE: Dict[Tuple, Tuple[Placement, ...]] = {}
+#: cache turns the repeated grid sweeps (and the geometry arrays the
+#: model builder reads) into one enumeration per shape.
+_CANDIDATE_CACHE: Dict[Tuple, "_CandidateTable"] = {}
+
+
+@dataclass(frozen=True, eq=False)
+class _CandidateTable:
+    """The legal placements of one shape class, with their geometry as arrays.
+
+    ``left/right/bottom/top`` hold each candidate's boundaries
+    ``b_le/b_ri/b_do/b_up`` as floats (they are model coefficients).
+    The pump-cell incidence lists every ring cell of every candidate:
+    ring cell ``j`` belongs to candidate ``ring_owner[j]`` and sits at
+    grid cell ``ring_cells[j] = x * grid.height + y``, so that sorting
+    the keys sorts the cells as points.
+    """
+
+    placements: Tuple[Placement, ...]
+    left: np.ndarray
+    right: np.ndarray
+    bottom: np.ndarray
+    top: np.ndarray
+    ring_owner: np.ndarray
+    ring_cells: np.ndarray
+
+    @classmethod
+    def of(cls, placements: Tuple[Placement, ...], height: int) -> "_CandidateTable":
+        rects = [p.rect for p in placements]
+        rings = [p.pump_cells() for p in placements]
+        arrays = dict(
+            left=np.array([r.left for r in rects], dtype=float),
+            right=np.array([r.right for r in rects], dtype=float),
+            bottom=np.array([r.bottom for r in rects], dtype=float),
+            top=np.array([r.top for r in rects], dtype=float),
+            ring_owner=np.repeat(
+                np.arange(len(rings)), [len(ring) for ring in rings]
+            ),
+            ring_cells=np.array(
+                [c.x * height + c.y for ring in rings for c in ring],
+                dtype=np.intp,
+            ),
+        )
+        for array in arrays.values():
+            array.flags.writeable = False  # shared by every cached build
+        return cls(placements, **arrays)
 
 
 def _enumerate_candidates(
@@ -53,7 +107,7 @@ def _enumerate_candidates(
     blocked_cells: FrozenSet[Point],
     volume: int,
     health: Optional[ChipHealth] = None,
-) -> Tuple[Placement, ...]:
+) -> _CandidateTable:
     if health is not None and health.is_healthy:
         health = None  # one cache entry for every fully-healthy mask
     key = (grid, anchor_stride, blocked_cells, volume, health)
@@ -71,7 +125,9 @@ def _enumerate_candidates(
                 if health is not None and health.blocks_rect(rect):
                     continue
                 candidates.append(Placement(dtype, rect.corner))
-        cached = _CANDIDATE_CACHE[key] = tuple(candidates)
+        cached = _CANDIDATE_CACHE[key] = _CandidateTable.of(
+            tuple(candidates), grid.height
+        )
     return cached
 
 
@@ -138,11 +194,14 @@ class MappingSpec:
 
     def candidate_placements(self, task: MappingTask) -> Tuple[Placement, ...]:
         """All legal placements of one task on the grid (memoized)."""
-        candidates = _enumerate_candidates(
+        return self._candidate_table(task).placements
+
+    def _candidate_table(self, task: MappingTask) -> _CandidateTable:
+        table = _enumerate_candidates(
             self.grid, self.anchor_stride, self.blocked_cells, task.volume,
             self.health,
         )
-        if not candidates:
+        if not table.placements:
             dead = (
                 f" with {self.health.dead_count} dead resources"
                 if self.health is not None and not self.health.is_healthy
@@ -152,22 +211,13 @@ class MappingSpec:
                 f"{task.name}: no feasible placement on the "
                 f"{self.grid.width}x{self.grid.height} grid{dead}"
             )
-        return candidates
+        return table
 
 
-@dataclass
-class _Disjunction:
-    """One big-M non-overlap disjunction, kept for solution completion.
-
-    ``terms`` are the original (un-relaxed) boundary comparisons — they
-    are *not* model rows; :meth:`Model.add_big_m_disjunction` only adds
-    their relaxed twins.  ``aux`` are the ``c1..c4`` binaries in term
-    order, ``relax`` the optional ``c5`` overlap permission.
-    """
-
-    terms: List[Constraint]
-    aux: List[Var]
-    relax: Optional[Var]
+#: A device in a non-overlap or near row: a task's selection columns and
+#: candidate table, or ``(None, rect)`` for a committed device, whose
+#: boundaries are constants.  Both answer ``left/right/bottom/top``.
+_Device = Tuple[Optional[np.ndarray], object]
 
 
 @dataclass
@@ -179,13 +229,14 @@ class BuiltMapping:
     w: Var
     selections: Dict[str, List[Tuple[Placement, Var]]]
     c5_vars: Dict[Pair, Var]
-    #: recorded big-M disjunctions, per-cell load expressions (selection
-    #: terms plus the cell's base-load constant) and the committed-load
-    #: residual: everything :func:`complete_solution` needs to lift a
-    #: geometric placement assignment to a full variable-value vector.
-    disjunctions: List[_Disjunction] = field(default_factory=list)
-    load_exprs: List[LinExpr] = field(default_factory=list)
-    load_residual: int = 0
+    #: what :func:`complete_solution` needs to lift a placement
+    #: assignment to a full value vector: one ``(a, b, [c1..c4], c5 or
+    #: None)`` per big-M non-overlap disjunction, and the load rows as
+    #: ``(cols, rows, rates, base, residual)`` — entry ``j`` adds
+    #: ``rates[j]`` to load row ``rows[j]`` when selection column
+    #: ``cols[j]`` is chosen, ``base`` is each row's committed load.
+    pairs: List[Tuple[str, str, List[Var], Optional[Var]]]
+    loads: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
 
     def extract_placements(self, solution) -> Dict[str, Placement]:
         """Chosen placement per task from a solved model."""
@@ -209,8 +260,49 @@ class BuiltMapping:
         ]
 
 
+def _add_rows(model: Model, rows, cols, vals, senses, rhs, names) -> None:
+    """:meth:`Model.add_rows` minus the zero coefficients."""
+    keep = vals != 0.0
+    model.add_rows(rows[keep], cols[keep], vals[keep], senses, rhs, names)
+
+
+def _add_piece_rows(model: Model, rows) -> None:
+    """Add ``(pieces, sense, rhs, name)`` rows, each piece a ``(cols,
+    vals)`` array pair, in one call."""
+    if rows:
+        pieces = [piece for row in rows for piece in row[0]]
+        lengths = [sum(len(cols) for cols, _ in row[0]) for row in rows]
+        _, senses, rhs, names = zip(*rows)
+        _add_rows(
+            model,
+            np.repeat(np.arange(len(rows)), lengths),
+            np.concatenate([cols for cols, _ in pieces]),
+            np.concatenate([vals for _, vals in pieces]),
+            senses, rhs, names,
+        )
+
+
+def _difference(x: _Device, x_bound: str, y: _Device, y_bound: str):
+    """Terms and constant of ``x.x_bound - y.y_bound``."""
+    pieces = []
+    constant = 0
+    for (cols, geometry), bound, sign in ((x, x_bound, 1), (y, y_bound, -1)):
+        value = getattr(geometry, bound)
+        if cols is None:
+            constant += sign * value
+        else:
+            pieces.append((cols, value if sign > 0 else -value))
+    return pieces, constant
+
+
 class MappingModelBuilder:
-    """Builds the ILP of Section 3.2 for a :class:`MappingSpec`."""
+    """Builds the ILP of Section 3.2 for a :class:`MappingSpec`.
+
+    Columns come out as ``w``, the selections task by task, then per
+    time-overlapping pair its ``c5`` (when allowed) and ``c1..c4``; rows
+    as eq. 1, the loads, the committed residual, per pair its four
+    big-M rows and its cardinality row, then the near rows.
+    """
 
     def __init__(self, spec: MappingSpec) -> None:
         self.spec = spec
@@ -223,146 +315,127 @@ class MappingModelBuilder:
         w = model.add_integer("w", lb=0)
 
         selections: Dict[str, List[Tuple[Placement, Var]]] = {}
+        devices: Dict[str, _Device] = {
+            name: (None, device.rect) for name, device in spec.fixed.items()
+        }
+        tables: List[Tuple[MappingTask, _CandidateTable, int]] = []
+        one_device = []
         for task in spec.tasks:
-            options: List[Tuple[Placement, Var]] = []
-            for placement in spec.candidate_placements(task):
-                var = model.add_binary(
-                    f"s[{placement.corner.x},{placement.corner.y},"
-                    f"{placement.device_type.index},{task.name}]"
-                )
-                options.append((placement, var))
-            selections[task.name] = options
+            table = spec._candidate_table(task)
+            first = model.num_vars
+            selections[task.name] = [
+                (p, model.add_binary(
+                    f"s[{p.corner.x},{p.corner.y},"
+                    f"{p.device_type.index},{task.name}]"
+                ))
+                for p in table.placements
+            ]
+            cols = first + np.arange(len(table.placements))
+            devices[task.name] = (cols, table)
+            tables.append((task, table, first))
             # eq. (1): every operation mapped to exactly one device.
-            model.add_constr(
-                quicksum(var for _, var in options) == 1,
-                name=f"one_device[{task.name}]",
-            )
+            one_device.append((
+                [(cols, np.ones(len(cols)))], Sense.EQ, 1.0,
+                f"one_device[{task.name}]",
+            ))
+        _add_piece_rows(model, one_device)
 
-        load_exprs, load_residual = self._add_load_constraints(
-            model, w, selections
-        )
-        c5_vars, disjunctions = self._add_non_overlap(model, selections)
-        self._add_routing_convenient(model, selections)
+        loads = self._add_load_constraints(model, w, tables)
+        c5_vars, pairs = self._add_non_overlap(model, devices)
+        self._add_routing_convenient(model, devices)
 
         # Primary objective: the largest pump load (eq. 10).  When
         # refinement supplies discouraged cells, a tiny secondary term
         # steers ties away from re-loading them; the weight keeps the
         # total strictly below 1, so the integral primary objective is
         # never traded off.
-        objective = w.to_expr()
+        objective: Dict[Var, float] = {w: 1.0}
+        discouraged = [
+            c.x * spec.grid.height + c.y
+            for c in spec.discouraged_cells
+            if spec.grid.in_bounds(c)
+        ]
         penalty_terms = []
-        if spec.discouraged_cells:
-            for options in selections.values():
-                for placement, var in options:
-                    covered = sum(
-                        1
-                        for cell in placement.pump_cells()
-                        if cell in spec.discouraged_cells
-                    )
-                    if covered:
-                        penalty_terms.append((covered, var))
+        for _, table, first in tables:
+            covered = np.bincount(
+                table.ring_owner,
+                weights=np.isin(table.ring_cells, discouraged),
+                minlength=len(table.placements),
+            )
+            for k in np.flatnonzero(covered).tolist():
+                penalty_terms.append((int(covered[k]), model.variables[first + k]))
         if penalty_terms:
             weight = 0.9 / sum(c for c, _ in penalty_terms)
-            objective = objective + quicksum(
-                weight * c * var for c, var in penalty_terms
-            )
-        model.minimize(objective)
-        return BuiltMapping(
-            model, spec, w, selections, c5_vars,
-            disjunctions=disjunctions,
-            load_exprs=load_exprs,
-            load_residual=load_residual,
-        )
+            for c, var in penalty_terms:
+                objective[var] = weight * c
+        model.minimize(LinExpr(objective))
+        return BuiltMapping(model, spec, w, selections, c5_vars, pairs, loads)
 
     # -- eq. (2) + (9): pump loads ------------------------------------------
 
-    def _add_load_constraints(
-        self,
-        model: Model,
-        w: Var,
-        selections: Dict[str, List[Tuple[Placement, Var]]],
-    ) -> Tuple[List[LinExpr], int]:
+    def _add_load_constraints(self, model: Model, w: Var, tables):
+        """One ``load <= w`` row per pumped cell, in cell order."""
         spec = self.spec
-        rate = {task.name: task.pump_rate for task in spec.tasks}
-        cell_terms: Dict[Point, List[Tuple[int, Var]]] = {}
-        for name, options in selections.items():
-            for placement, var in options:
-                for cell in placement.pump_cells():
-                    cell_terms.setdefault(cell, []).append((rate[name], var))
-        load_exprs: List[LinExpr] = []
-        for cell, terms in sorted(cell_terms.items()):
-            load = quicksum(r * var for r, var in terms) + spec.base_load.get(
-                cell, 0
-            )
-            load_exprs.append(load)
-            model.add_constr(
-                load <= w, name=f"load[{cell.x},{cell.y}]"
-            )
+        empty = np.zeros(0, dtype=np.intp)
+        cols = np.concatenate(
+            [empty] + [first + table.ring_owner for _, table, first in tables]
+        )
+        cells = np.concatenate(
+            [empty] + [table.ring_cells for _, table, _ in tables]
+        )
+        rates = np.concatenate([np.zeros(0)] + [
+            np.full(len(table.ring_cells), float(task.pump_rate))
+            for task, table, _ in tables
+        ])
+        keys, rows = np.unique(cells, return_inverse=True)
+        height = spec.grid.height
+        points = [Point(k // height, k % height) for k in keys.tolist()]
+        base = [spec.base_load.get(cell, 0) for cell in points]
+        count = len(points)
+        _add_rows(
+            model,
+            np.concatenate([rows, np.arange(count)]),
+            np.concatenate([cols, np.full(count, w.index)]),
+            np.concatenate([rates, np.full(count, -1.0)]),
+            [Sense.LE] * count,
+            [-float(load) for load in base],
+            [f"load[{cell.x},{cell.y}]" for cell in points],
+        )
         # Valves loaded only by committed devices still bound w.
+        pumped = set(points)
         residual = max(
-            (
-                load
-                for cell, load in spec.base_load.items()
-                if cell not in cell_terms
-            ),
+            (load for cell, load in spec.base_load.items() if cell not in pumped),
             default=0,
         )
         if residual:
             model.add_constr(w >= residual, name="load[committed]")
-        return load_exprs, residual
+        return cols, rows, rates, np.asarray(base, dtype=float), residual
 
     # -- eqs. (3)-(8) + (12): non-overlap -------------------------------------
 
-    def _boundaries(
-        self,
-        name: str,
-        selections: Dict[str, List[Tuple[Placement, Var]]],
-    ) -> Tuple[LinExpr, LinExpr, LinExpr, LinExpr]:
-        """(b_le, b_ri, b_do, b_up) as linear expressions or constants."""
-        if name in selections:
-            options = selections[name]
-            b_le = quicksum(p.rect.left * v for p, v in options)
-            b_ri = quicksum(p.rect.right * v for p, v in options)
-            b_do = quicksum(p.rect.bottom * v for p, v in options)
-            b_up = quicksum(p.rect.top * v for p, v in options)
-            return b_le, b_ri, b_do, b_up
-        rect = self.spec.fixed[name].rect
-        return (
-            LinExpr({}, rect.left),
-            LinExpr({}, rect.right),
-            LinExpr({}, rect.bottom),
-            LinExpr({}, rect.top),
-        )
-
-    def _interval(self, name: str) -> Tuple[int, int]:
-        for task in self.spec.tasks:
-            if task.name == name:
-                return task.interval
-        device = self.spec.fixed[name]
-        return (device.start, device.end)
-
-    def _add_non_overlap(
-        self,
-        model: Model,
-        selections: Dict[str, List[Tuple[Placement, Var]]],
-    ) -> Tuple[Dict[Pair, Var], List[_Disjunction]]:
+    def _add_non_overlap(self, model: Model, devices: Dict[str, _Device]):
+        """Per pair: ``x.bound - y.bound - M * c_k <= 0`` for its four
+        sides (eqs. 4-7) and ``c1 + .. + c4 - c5 == 3`` (eq. 8), with
+        ``c5`` (eq. 12) only for a storage pair not forbidden."""
         spec = self.spec
-        big_m = spec.grid.width + spec.grid.height
+        big_m = np.array([-float(spec.grid.width + spec.grid.height)])
         c5_vars: Dict[Pair, Var] = {}
-        disjunctions: List[_Disjunction] = []
+        pairs = []
+        rows = []
 
         names = [t.name for t in spec.tasks]
-        fixed_names = sorted(spec.fixed)
         task_pairs = [
             (names[i], names[j])
             for i in range(len(names))
             for j in range(i + 1, len(names))
         ]
-        mixed_pairs = [(f, t) for f in fixed_names for t in names]
+        mixed_pairs = [(f, t) for f in sorted(spec.fixed) for t in names]
+        intervals = {n: (d.start, d.end) for n, d in spec.fixed.items()}
+        intervals.update((t.name, t.interval) for t in spec.tasks)
 
         for a, b in task_pairs + mixed_pairs:
-            sa, ea = self._interval(a)
-            sb, eb = self._interval(b)
+            sa, ea = intervals[a]
+            sb, eb = intervals[b]
             if not (sa < eb and sb < ea):
                 continue  # lifetimes disjoint: may share area freely
             relax: Optional[Var] = None
@@ -374,48 +447,56 @@ class MappingModelBuilder:
             ):
                 relax = model.add_binary(f"c5[{pair[0]},{pair[1]}]")
                 c5_vars[pair] = relax
-            a_le, a_ri, a_do, a_up = self._boundaries(a, selections)
-            b_le, b_ri, b_do, b_up = self._boundaries(b, selections)
-            terms = [
-                a_ri <= b_le,  # a left of b
-                b_ri <= a_le,  # b left of a
-                a_up <= b_do,  # a below b
-                b_up <= a_do,  # b below a
-            ]
-            aux = model.add_big_m_disjunction(
-                terms,
-                big_m=big_m,
-                name=f"no_overlap[{a},{b}]",
-                relax_var=relax,
-            )
-            disjunctions.append(_Disjunction(terms, aux, relax))
-        return c5_vars, disjunctions
+            name = f"no_overlap[{a},{b}]"
+            da, db = devices[a], devices[b]
+            aux = []
+            for k, (x, x_bound, y, y_bound) in enumerate((
+                (da, "right", db, "left"),  # a left of b
+                (db, "right", da, "left"),  # b left of a
+                (da, "top", db, "bottom"),  # a below b
+                (db, "top", da, "bottom"),  # b below a
+            )):
+                aux.append(model.add_binary(f"{name}.c{k + 1}"))
+                pieces, constant = _difference(x, x_bound, y, y_bound)
+                pieces.append((np.array([aux[-1].index]), big_m))
+                rows.append((pieces, Sense.LE, -constant, f"{name}.term{k + 1}"))
+            card = [var.index for var in aux] + ([relax.index] if relax else [])
+            ones = [1.0] * 4 + ([-1.0] if relax else [])
+            rows.append((
+                [(np.array(card), np.array(ones))], Sense.EQ, 3.0, f"{name}.card"
+            ))
+            pairs.append((a, b, aux, relax))
+        _add_piece_rows(model, rows)
+        return c5_vars, pairs
 
     # -- eqs. (13)-(16): routing-convenient mapping -----------------------------
 
     def _add_routing_convenient(
-        self,
-        model: Model,
-        selections: Dict[str, List[Tuple[Placement, Var]]],
+        self, model: Model, devices: Dict[str, _Device]
     ) -> None:
         spec = self.spec
         d = spec.resolved_distance_limit()
         if d is None:
             return
-        known = set(selections) | set(spec.fixed)
+        rows = []
         for parent, child in sorted(spec.parent_pairs):
-            if parent not in known or child not in known:
+            if parent not in devices or child not in devices:
                 continue
-            if parent not in selections and child not in selections:
+            if devices[parent][0] is None and devices[child][0] is None:
                 continue  # both committed: nothing left to constrain
-            c_le, c_ri, c_do, c_up = self._boundaries(child, selections)
-            p_le, p_ri, p_do, p_up = self._boundaries(parent, selections)
             # Strict inequalities over integers: "> x - d" == ">= x-d+1".
             name = f"near[{parent},{child}]"
-            model.add_constr(c_ri - p_le >= 1 - d, f"{name}.ri")
-            model.add_constr(c_le - p_ri <= d - 1, f"{name}.le")
-            model.add_constr(c_up - p_do >= 1 - d, f"{name}.up")
-            model.add_constr(c_do - p_up <= d - 1, f"{name}.do")
+            for child_bound, parent_bound, sense, limit, suffix in (
+                ("right", "left", Sense.GE, 1 - d, "ri"),
+                ("left", "right", Sense.LE, d - 1, "le"),
+                ("top", "bottom", Sense.GE, 1 - d, "up"),
+                ("bottom", "top", Sense.LE, d - 1, "do"),
+            ):
+                pieces, constant = _difference(
+                    devices[child], child_bound, devices[parent], parent_bound
+                )
+                rows.append((pieces, sense, limit - constant, f"{name}.{suffix}"))
+        _add_piece_rows(model, rows)
 
 
 def complete_solution(
@@ -428,7 +509,7 @@ def complete_solution(
     the MILP replay certificate both need every model variable valued.
     This derives them mechanically: selections become the one-hot
     indicators, each non-overlap disjunction activates its first
-    geometrically satisfied term (falling back to the ``c5`` overlap
+    geometrically satisfied side (falling back to the ``c5`` overlap
     permission when no side separates the pair), and ``w`` is the
     maximum pump load the placements actually induce.
 
@@ -442,39 +523,47 @@ def complete_solution(
     reaches a solver.
     """
     values: Dict[Var, float] = {}
+    selected = np.zeros(built.model.num_vars, dtype=bool)
+    rects = {name: device.rect for name, device in built.spec.fixed.items()}
     for name, options in built.selections.items():
         chosen = placements.get(name)
         if chosen is None:
             return None
         hit = False
         for placement, var in options:
-            selected = placement == chosen
-            values[var] = 1.0 if selected else 0.0
-            hit = hit or selected
+            is_chosen = placement == chosen
+            values[var] = 1.0 if is_chosen else 0.0
+            if is_chosen:
+                selected[var.index] = hit = True
         if not hit:
             return None
-    for disjunction in built.disjunctions:
-        satisfied = next(
-            (
-                k
-                for k, term in enumerate(disjunction.terms)
-                if term.satisfied_by(values)
-            ),
-            None,
+        rects[name] = chosen.rect
+    for a, b, aux, relax in built.pairs:
+        ra, rb = rects[a], rects[b]
+        sides = (
+            ra.right <= rb.left,  # a left of b
+            rb.right <= ra.left,  # b left of a
+            ra.top <= rb.bottom,  # a below b
+            rb.top <= ra.bottom,  # b below a
         )
+        satisfied = next((k for k, ok in enumerate(sides) if ok), None)
         if satisfied is None:
-            if disjunction.relax is None:
+            if relax is None:
                 return None  # true overlap with no storage permission
-            values[disjunction.relax] = 1.0
-            for aux in disjunction.aux:
-                values[aux] = 1.0  # eq. 8 with c5 = 1: all rows off
+            values[relax] = 1.0
+            for var in aux:
+                values[var] = 1.0  # eq. 8 with c5 = 1: all rows off
         else:
-            if disjunction.relax is not None:
-                values[disjunction.relax] = 0.0
-            for k, aux in enumerate(disjunction.aux):
-                values[aux] = 0.0 if k == satisfied else 1.0
-    w_value = built.load_residual
-    for expr in built.load_exprs:
-        w_value = max(w_value, int(round(expr.evaluate(values))))
+            if relax is not None:
+                values[relax] = 0.0
+            for k, var in enumerate(aux):
+                values[var] = 0.0 if k == satisfied else 1.0
+    cols, rows, rates, base, w_value = built.loads
+    if len(base):
+        on = selected[cols]
+        cell_loads = base + np.bincount(
+            rows[on], weights=rates[on], minlength=len(base)
+        )
+        w_value = max(w_value, int(round(cell_loads.max())))
     values[built.w] = float(w_value)
     return values

@@ -5,6 +5,14 @@ formulation (Section 3.2): binary selection variables, integer load
 variables, linear constraints, a big-M disjunction helper implementing
 eqs. (4)–(8), and the relaxable variant with the auxiliary binary ``c5``
 of eq. (12).
+
+Every row lives in one store: a per-row name, sense and right-hand
+side, and the coefficients as coordinate triplets.
+:meth:`Model.add_rows` writes whole blocks of rows from arrays (the
+dynamic-device mapping builder's path) and :meth:`Model.add_constr`
+one hand-built :class:`Constraint`.  :meth:`Model.to_arrays` scatters
+the store; :attr:`Model.constraints` materializes :class:`Constraint`
+views of it only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -54,7 +62,13 @@ class Model:
     def __init__(self, name: str = "model") -> None:
         self.name = name
         self.variables: List[Var] = []
-        self.constraints: List[Constraint] = []
+        # The row store: one entry per row in these three lists, the
+        # coefficients as (row, column, value) array chunks.
+        self._names: List[str] = []
+        self._senses: List[Sense] = []
+        self._rhs: List[float] = []
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._views: Tuple[Constraint, ...] = ()
         self.objective: LinExpr = LinExpr()
         self.objective_sense: ObjectiveSense = ObjectiveSense.MINIMIZE
 
@@ -105,8 +119,55 @@ class Model:
                 )
         if name:
             constraint.name = name
-        self.constraints.append(constraint)
+        terms = constraint.expr.terms
+        self.add_rows(
+            [0] * len(terms), [var.index for var in terms], list(terms.values()),
+            [constraint.sense], [constraint.rhs], [constraint.name],
+        )
         return constraint
+
+    def add_rows(
+        self,
+        rows,
+        cols,
+        vals,
+        senses: Sequence[Sense],
+        rhs: Sequence[float],
+        names: Sequence[str],
+    ) -> None:
+        """Append ``len(rhs)`` rows given as coordinate triplets.
+
+        ``rows[k]`` numbers the new rows from 0 and ``cols[k]`` is a
+        variable index; a (row, column) pair may not repeat, and every
+        row needs a term, as a :class:`Constraint` does.
+        """
+        count = len(rhs)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=float)
+        if not (len(senses) == len(names) == count
+                and rows.shape == cols.shape == vals.shape):
+            raise ModelError("add_rows needs matching row, term and meta lengths")
+        if cols.size and (cols.min() < 0 or cols.max() >= len(self.variables)):
+            raise ModelError("add_rows uses a column outside this model")
+        if rows.size and (rows.min() < 0 or rows.max() >= count):
+            raise ModelError("add_rows uses a row index outside the block")
+        if count and np.bincount(rows, minlength=count).min() == 0:
+            raise ModelError("constraint has no variables")
+        self._chunks.append((rows + len(self._rhs), cols, vals))
+        self._names.extend(names)
+        self._senses.extend(senses)
+        self._rhs.extend(float(b) for b in rhs)
+
+    def _triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored coefficient as (row, column, value), in insertion order."""
+        if len(self._chunks) != 1:
+            if not self._chunks:
+                empty = np.zeros(0, dtype=np.intp)
+                return empty, empty, np.zeros(0)
+            merged = tuple(np.concatenate(part) for part in zip(*self._chunks))
+            self._chunks = [merged]
+        return self._chunks[0]
 
     def add_constrs(self, constraints: Iterable[Constraint], name: str = "") -> None:
         for i, con in enumerate(constraints):
@@ -178,7 +239,37 @@ class Model:
 
     @property
     def num_constrs(self) -> int:
-        return len(self.constraints)
+        return len(self._rhs)
+
+    @property
+    def constraints(self) -> Tuple[Constraint, ...]:
+        """The rows as :class:`Constraint` objects, in model order.
+
+        Built from the row store on first read (and again after rows
+        are added): the exact replays of :mod:`repro.certify`,
+        :meth:`check_solution` and the LP export read rows one by one;
+        the solver backends only read :meth:`to_arrays`.
+        """
+        if len(self._views) != len(self._rhs):
+            rows, cols, vals = self._triplets()
+            order = np.argsort(rows, kind="stable")
+            ends = np.cumsum(np.bincount(rows, minlength=len(self._rhs)))
+            cols = cols[order].tolist()
+            vals = vals[order].tolist()
+            variables = self.variables
+            views: List[Constraint] = []
+            start = 0
+            for name, sense, rhs, end in zip(
+                self._names, self._senses, self._rhs, ends.tolist()
+            ):
+                terms = {
+                    variables[j]: v
+                    for j, v in zip(cols[start:end], vals[start:end])
+                }
+                views.append(Constraint(LinExpr(terms), sense, rhs, name))
+                start = end
+            self._views = tuple(views)
+        return self._views
 
     def check_solution(
         self, values: Dict[Var, float], tol: float = CHECK_EPS
@@ -222,43 +313,32 @@ class Model:
         if self.objective_sense is ObjectiveSense.MAXIMIZE:
             c = -c
 
-        # Row assembly via COO triplets: constraints are sparse (a few
-        # terms against thousands of columns), so gathering
-        # (row, col, value) triplets and scattering them in one numpy
-        # assignment beats materializing a dense row per constraint.
-        ub_r: List[int] = []
-        ub_c: List[int] = []
-        ub_v: List[float] = []
-        ub_rhs: List[float] = []
-        eq_r: List[int] = []
-        eq_c: List[int] = []
-        eq_v: List[float] = []
-        eq_rhs: List[float] = []
-        for con in self.constraints:
-            if con.sense is Sense.EQ:
-                r = len(eq_rhs)
-                eq_rhs.append(con.rhs)
-                for var, coef in con.expr.terms.items():
-                    eq_r.append(r)
-                    eq_c.append(var.index)
-                    eq_v.append(coef)
-            else:
-                sign = 1.0 if con.sense is Sense.LE else -1.0
-                r = len(ub_rhs)
-                ub_rhs.append(sign * con.rhs)
-                for var, coef in con.expr.terms.items():
-                    ub_r.append(r)
-                    ub_c.append(var.index)
-                    ub_v.append(sign * coef)
-
-        a_ub = np.zeros((len(ub_rhs), n))
-        if ub_r:
-            a_ub[np.asarray(ub_r), np.asarray(ub_c)] = np.asarray(ub_v)
-        b_ub = np.asarray(ub_rhs, dtype=float)
-        a_eq = np.zeros((len(eq_rhs), n))
-        if eq_r:
-            a_eq[np.asarray(eq_r), np.asarray(eq_c)] = np.asarray(eq_v)
-        b_eq = np.asarray(eq_rhs, dtype=float)
+        # Scatter the row store: each row goes to A_eq or A_ub (>= rows
+        # negated into <= form), at its position among rows of its kind.
+        rows, cols, vals = self._triplets()
+        m = len(self._rhs)
+        is_eq = np.fromiter(
+            (s is Sense.EQ for s in self._senses), dtype=bool, count=m
+        )
+        sign = np.fromiter(
+            (-1.0 if s is Sense.GE else 1.0 for s in self._senses),
+            dtype=float, count=m,
+        )
+        rhs = np.asarray(self._rhs, dtype=float)
+        n_eq = int(is_eq.sum())
+        position = np.empty(m, dtype=np.intp)
+        position[is_eq] = np.arange(n_eq)
+        position[~is_eq] = np.arange(m - n_eq)
+        on_eq = is_eq[rows]
+        on_ub = ~on_eq
+        a_eq = np.zeros((n_eq, n))
+        a_eq[position[rows[on_eq]], cols[on_eq]] = vals[on_eq]
+        b_eq = rhs[is_eq]
+        a_ub = np.zeros((m - n_eq, n))
+        a_ub[position[rows[on_ub]], cols[on_ub]] = (
+            sign[rows[on_ub]] * vals[on_ub]
+        )
+        b_ub = sign[~is_eq] * rhs[~is_eq]
         bounds = [(v.lb, v.ub) for v in self.variables]
         integrality = np.array(
             [1 if v.vtype.is_integral else 0 for v in self.variables]

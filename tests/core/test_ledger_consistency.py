@@ -2,7 +2,8 @@
 
 The PR-5 certification sweep audited the incremental
 :class:`~repro.core.mappers.LoadLedger` against
-``WindowedILPMapper._cell_loads`` and found one divergence: a
+the naive rebuild (:func:`tests.core.load_reference.cell_loads`) and
+found one divergence: a
 zero-pump-rate task used to leave explicit load-0 entries in the
 rebuild but none in the ledger (and could flip ``measure()`` when the
 peak was 0).  Both sides now agree that a zero-rate contribution leaves
@@ -15,11 +16,13 @@ from __future__ import annotations
 import pytest
 
 from repro.geometry import GridSpec, Point
-from repro.core.mappers import LoadLedger, WindowedILPMapper
+from repro.core.mappers import LoadLedger
 from repro.core.mapping_model import MappingSpec
 from repro.core.tasks import MappingTask
 from repro.architecture.device_types import device_type
 from repro.architecture.device import Placement
+
+from tests.core import load_reference
 
 
 def _task(name, pump_rate, start=0, end=4):
@@ -39,7 +42,7 @@ def _placement(x, y, w=3, h=3):
 
 
 def _oracle(spec, ordered, placements):
-    return WindowedILPMapper._cell_loads(spec, ordered, placements)
+    return load_reference.cell_loads(spec, ordered, placements)
 
 
 def test_zero_rate_task_leaves_no_trace() -> None:

@@ -2,7 +2,7 @@
 
 The windowed mapper's refinement loops trust the ledger for every
 accept/revert decision; any divergence from the from-scratch helpers
-(`_cell_loads` / `_load_measure` / `_max_load_cells`) would silently
+(:mod:`tests.core.load_reference`) would silently
 change which placements survive refinement.  These tests drive the
 ledger through add/remove churn and diff it against the naive oracle
 after every step.
@@ -18,6 +18,8 @@ from repro.core.mappers import (
 )
 from repro.core.mapping_model import MappingSpec
 from repro.core.tasks import MappingTask
+
+from tests.core import load_reference
 
 
 def task(name, start, end, volume=8, pump_rate=40):
@@ -53,12 +55,12 @@ def mapped(spec):
 
 
 def assert_matches_oracle(ledger, spec, ordered, placements):
-    naive = WindowedILPMapper._cell_loads(spec, ordered, placements)
+    naive = load_reference.cell_loads(spec, ordered, placements)
     assert ledger.loads() == naive
-    assert ledger.measure() == WindowedILPMapper._load_measure(
+    assert ledger.measure() == load_reference.load_measure(
         spec, ordered, placements
     )
-    assert ledger.peak_cells() == WindowedILPMapper._max_load_cells(
+    assert ledger.peak_cells() == load_reference.max_load_cells(
         spec, ordered, placements
     )
     assert ledger.peak() == max(naive.values(), default=0)
@@ -112,7 +114,7 @@ class TestWorstValveEquivalence:
         # "tasks covering min(peak_cells)" — same cell, same culprits.
         ordered, placements = mapped
         ledger = LoadLedger.from_placements(spec, ordered, placements)
-        oracle = WindowedILPMapper._tasks_on_worst_valve(
+        oracle = load_reference.tasks_on_worst_valve(
             spec, ordered, placements
         )
         worst = min(ledger.peak_cells())

@@ -66,6 +66,40 @@ class TestArrayExport:
         c, *_ = m.to_arrays()
         assert c.tolist() == [-2.0]
 
+    def test_bulk_rows_share_the_store_with_add_constr(self):
+        m = Model()
+        x, y = m.add_continuous("x"), m.add_continuous("y")
+        m.add_constr(x + y <= 5, name="hand")
+        m.add_rows(
+            [0, 0, 1], [0, 1, 1], [1.0, -1.0, 2.0],
+            [Sense.GE, Sense.EQ], [-1.0, 4.0], ["bulk_ge", "bulk_eq"],
+        )
+        m.add_constr(x + 0 == 2, name="hand_eq")
+        _, a_ub, b_ub, a_eq, b_eq, _, _ = m.to_arrays()
+        assert a_ub.tolist() == [[1.0, 1.0], [-1.0, 1.0]]
+        assert b_ub.tolist() == [5.0, 1.0]
+        assert a_eq.tolist() == [[0.0, 2.0], [1.0, 0.0]]
+        assert b_eq.tolist() == [4.0, 2.0]
+        assert [(c.name, c.sense, c.rhs) for c in m.constraints] == [
+            ("hand", Sense.LE, 5.0),
+            ("bulk_ge", Sense.GE, -1.0),
+            ("bulk_eq", Sense.EQ, 4.0),
+            ("hand_eq", Sense.EQ, 2.0),
+        ]
+        assert m.constraints[1].expr.terms == {x: 1.0, y: -1.0}
+        assert m.check_solution({x: 2.0, y: 2.0}) == []
+
+    def test_bulk_rows_are_range_checked(self):
+        m = Model()
+        m.add_binary("x")
+        with pytest.raises(ModelError, match="column"):
+            m.add_rows([0], [1], [1.0], [Sense.LE], [1.0], ["c"])
+        with pytest.raises(ModelError, match="row index"):
+            m.add_rows([1], [0], [1.0], [Sense.LE], [1.0], ["c"])
+        with pytest.raises(ModelError, match="no variables"):
+            m.add_rows([0], [0], [1.0], [Sense.LE] * 2, [1.0, 1.0], ["a", "b"])
+        assert m.num_constrs == 0
+
 
 class TestBigMDisjunction:
     def test_at_least_one_holds(self):
